@@ -1,4 +1,4 @@
-"""Compare the newest perf baseline against the oldest and flag regressions.
+"""Diff the newest perf baseline against the latest comparable one; flag regressions.
 
 Usage::
 
@@ -6,11 +6,15 @@ Usage::
     python benchmarks/compare.py --max-time-regression 0.25 --max-mem-regression 0.5
 
 ``benchmarks/run_all.py`` archives each run as ``BENCH_<n>.json``; this
-script diffs the newest file (the candidate) against the lowest-numbered
-one (the baseline) benchmark by benchmark and exits nonzero when any
-shared benchmark regresses by more than 25% wall time or 50% allocation
-peak.  Benchmarks present on only one side are reported but never fail
-the comparison, so adding a new benchmark doesn't break the gate.
+script diffs the newest file (the candidate) against the baseline — the
+newest *earlier* archive whose header records the same machine context
+(``cpu_count`` and ``num_threads``, see :func:`comparable_baseline`) —
+benchmark by benchmark and exits nonzero when any shared benchmark
+regresses by more than 25% wall time or 50% allocation peak.  When no
+earlier archive matches, the diff is skipped ("no comparable baseline")
+and only the within-candidate gates run.  Benchmarks present on only one
+side are reported but never fail the comparison, so adding a new
+benchmark doesn't break the gate.
 
 Archives may carry per-backend sections (``"backends": {name: {...}}``,
 see ``run_all.py``).  Each backend is compared against *its own* section
@@ -93,6 +97,44 @@ def bench_files(directory) -> list[Path]:
         if match:
             found.append((int(match.group(1)), entry))
     return [path for _, path in sorted(found)]
+
+
+#: Archive header fields that must match for two runs to be comparable.
+MACHINE_CONTEXT_KEYS = ("cpu_count", "num_threads")
+
+
+def machine_context(path) -> tuple:
+    """The archive's ``MACHINE_CONTEXT_KEYS`` values (``None`` where absent)."""
+    payload = json.loads(Path(path).read_text())
+    return tuple(payload.get(key) for key in MACHINE_CONTEXT_KEYS)
+
+
+def comparable_baseline(candidate, history) -> Path | None:
+    """Newest archive before ``candidate`` in ``history`` with its machine context.
+
+    ``history`` is :func:`bench_files` order (oldest first).  Archives
+    after ``candidate`` are never baselines; when ``candidate`` is not in
+    ``history`` every archive is earlier.  Returns ``None`` when no
+    earlier archive has the same ``cpu_count`` and ``num_threads``.
+    """
+    candidate = Path(candidate).resolve()
+    resolved = [Path(path).resolve() for path in history]
+    earlier = history[: resolved.index(candidate)] if candidate in resolved else history
+    context = machine_context(candidate)
+    for path in reversed(earlier):
+        if machine_context(path) == context:
+            return path
+    return None
+
+
+def no_baseline_report(candidate) -> str:
+    """Report line for a candidate without a comparable earlier archive."""
+    pairs = zip(MACHINE_CONTEXT_KEYS, machine_context(candidate))
+    context = ", ".join(f"{key}={value}" for key, value in pairs)
+    return (
+        f"no comparable baseline for {candidate} ({context}); "
+        "regression diff skipped"
+    )
 
 
 def load_benchmarks(path) -> dict:
@@ -574,16 +616,20 @@ def main(argv=None) -> int:
                 f"(found {len(files)}); run benchmarks/run_all.py twice"
             )
             return 0
-        baseline = baseline or files[0]
         candidate = candidate or files[-1]
+        baseline = baseline or comparable_baseline(candidate, files)
 
-    report, ok = compare_files(
-        baseline,
-        candidate,
-        max_time_regression=args.max_time_regression,
-        max_mem_regression=args.max_mem_regression,
-    )
-    print(report)
+    if baseline is None:
+        ok = True
+        print(no_baseline_report(candidate))
+    else:
+        report, ok = compare_files(
+            baseline,
+            candidate,
+            max_time_regression=args.max_time_regression,
+            max_mem_regression=args.max_mem_regression,
+        )
+        print(report)
     gate_report, gate_ok = gate_accelerated_file(candidate)
     print(f"\n{gate_report}")
     sparse_report, sparse_ok = gate_sparse_file(candidate)

@@ -8,9 +8,10 @@ Each benchmark is measured for wall time (median of ``--repeats`` runs
 after one warm-up) and allocation peak (``tracemalloc``), and the results
 are written to ``BENCH_<n>.json`` in the repo root — ``n`` is the first
 unused integer, so successive runs accumulate a comparable history.  When
-a history exists, the new run is diffed against the oldest archive through
-``benchmarks/compare.py`` and regressions (>25% time, >50% peak memory)
-fail the run with a nonzero exit::
+a history exists, the new run is diffed through ``benchmarks/compare.py``
+against the newest earlier archive with the same ``cpu_count`` and
+``num_threads`` header (no diff when none matches), and regressions (>25%
+time, >50% peak memory) fail the run with a nonzero exit::
 
     {
       "benchmarks": {
@@ -232,18 +233,22 @@ def main(argv=None) -> int:
 
     from compare import (
         bench_files,
+        comparable_baseline,
         compare_files,
         gate_accelerated_file,
         gate_live_file,
         gate_service_file,
         gate_sparse_file,
         gate_threads_file,
+        no_baseline_report,
     )
 
     ok = True
-    history = bench_files(Path(args.out))
-    if len(history) > 1:
-        report, ok = compare_files(history[0], path)
+    baseline = comparable_baseline(path, bench_files(Path(args.out)))
+    if baseline is None:
+        print(f"\n{no_baseline_report(path)}")
+    else:
+        report, ok = compare_files(baseline, path)
         print(f"\n{report}")
     gate_report, gate_ok = gate_accelerated_file(path)
     print(f"\n{gate_report}")

@@ -8,8 +8,9 @@ in without touching callers:
 ========= ==============================================================
 Backend    What it is
 ========= ==============================================================
-reference  Plain numpy, bit-identical to the pre-backend library.  The
-           parity baseline and the default.
+reference  Plain numpy; the parity baseline and the default.  Bit-identical
+           to the pre-backend library except the conv ghost kernels, which
+           use batched BLAS matmul (~1e-15 relative).
 fused      Optimized numpy: trig-identity fused GeoDP perturbation,
            BLAS-routed ghost kernels, blocked conv Grams.
 numba      Numba-JIT compiled hot loops; available only when numba is

@@ -1,8 +1,9 @@
 """Stateless tensor operations used by the layers.
 
 ``im2col``/``col2im`` implement the patch-extraction view that turns 2-D
-convolution into matrix multiplication; per-sample convolution gradients are
-then plain einsums over the column tensor.
+convolution into matrix multiplication; the convolution forward pass, its
+per-sample weight gradients and its input gradient are then batched BLAS
+matmuls over the column tensor.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def im2col(x, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
 
     Returns a column tensor of shape ``(B, C*kernel*kernel, L)`` where
     ``L = out_h * out_w``, so that a convolution with flattened weights
-    ``W_flat (out_c, C*k*k)`` becomes ``einsum('ok,bkl->bol')``.
+    ``W_flat (out_c, C*k*k)`` becomes the batched matmul ``W_flat @ cols``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:

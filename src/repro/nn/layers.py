@@ -280,7 +280,7 @@ class Conv2d(Layer):
         )
         cols = F.im2col(x, self.kernel, self.stride, self.padding)
         w_flat = self.weight.reshape(self.out_channels, -1)
-        out = np.einsum("ok,bkl->bol", w_flat, cols)
+        out = np.matmul(w_flat, cols)
         if self.bias is not None:
             out = out + self.bias[None, :, None]
         if train:
@@ -297,19 +297,21 @@ class Conv2d(Layer):
         w_flat = self.weight.reshape(self.out_channels, -1)
 
         if per_sample:
-            dw = np.einsum("bol,bkl->bok", dy, self._cols).reshape(
+            dw = np.matmul(dy, self._cols.transpose(0, 2, 1)).reshape(
                 batch, *self.weight.shape
             )
             grads = {"weight": dw}
             if self.bias is not None:
                 grads["bias"] = dy.sum(axis=2)
         else:
-            dw = np.einsum("bol,bkl->ok", dy, self._cols).reshape(self.weight.shape)
+            dw = np.tensordot(dy, self._cols, axes=([0, 2], [0, 2])).reshape(
+                self.weight.shape
+            )
             grads = {"weight": dw}
             if self.bias is not None:
                 grads["bias"] = dy.sum(axis=(0, 2))
 
-        dcols = np.einsum("ok,bol->bkl", w_flat, dy)
+        dcols = np.matmul(w_flat.T, dy)
         grad_in = F.col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
         return grad_in, grads
 
@@ -324,7 +326,7 @@ class Conv2d(Layer):
         # (and may block the Grams over the batch for cache residency).
         norm_sq = get_backend().conv_norm_sq(self._cols, dy, self.bias is not None)
         w_flat = self.weight.reshape(self.out_channels, -1)
-        dcols = np.einsum("ok,bol->bkl", w_flat, dy)
+        dcols = np.matmul(w_flat.T, dy)
         grad_in = F.col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
         return grad_in, norm_sq
 
@@ -363,44 +365,55 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping max pooling (kernel == stride); H, W must be divisible."""
+    """Non-overlapping max pooling (kernel == stride); H, W must be divisible.
+
+    The ``k * k`` window offsets are strided views ``x[:, :, i::k, j::k]`` of
+    the input, so the forward pass is a pairwise ``np.maximum`` over views and
+    the backward pass writes each view's share straight into a strided slice
+    of the input gradient; no 6-D window tensor is formed.
+    """
 
     def __init__(self, kernel: int):
         if kernel < 1:
             raise ValueError(f"kernel must be >= 1, got {kernel}")
         self.kernel = kernel
-        self._mask: np.ndarray | None = None
+        self._masks: list[np.ndarray] | None = None
         self._x_shape: tuple[int, ...] | None = None
 
-    def _window(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
+    def _views(self, x: np.ndarray) -> list[np.ndarray]:
+        _, _, height, width = x.shape
         k = self.kernel
         if height % k or width % k:
             raise ValueError(
                 f"input {height}x{width} not divisible by pooling kernel {k}"
             )
-        return x.reshape(batch, channels, height // k, k, width // k, k)
+        return [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        windows = self._window(x)
-        out = windows.max(axis=(3, 5))
+        views = self._views(x)
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
         if train:
             # Ties share the gradient equally (see backward); this is a valid
             # subgradient and keeps the adjoint linear.
-            self._mask = windows == out[:, :, :, None, :, None]
+            self._masks = [view == out for view in views]
             self._x_shape = x.shape
         return out
 
     def backward(self, grad_out, per_sample: bool = False):
-        if self._mask is None:
+        if self._masks is None:
             raise RuntimeError("backward called before forward(train=True)")
-        counts = self._mask.sum(axis=(3, 5), keepdims=True)
-        spread = (
-            self._mask
-            * grad_out[:, :, :, None, :, None]
-            / np.maximum(counts, 1)
-        )
-        return spread.reshape(self._x_shape), {}
+        k = self.kernel
+        counts = np.zeros(grad_out.shape, dtype=np.intp)
+        for mask in self._masks:
+            counts += mask
+        share = grad_out / np.maximum(counts, 1)
+        grad_in = np.empty(self._x_shape)
+        for index, mask in enumerate(self._masks):
+            i, j = divmod(index, k)
+            np.multiply(mask, share, out=grad_in[:, :, i::k, j::k])
+        return grad_in, {}
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel={self.kernel})"

@@ -19,8 +19,8 @@ def compare_mod():
     return module
 
 
-def _archive(path: Path, benchmarks: dict) -> Path:
-    path.write_text(json.dumps({"benchmarks": benchmarks}))
+def _archive(path: Path, benchmarks: dict, **header) -> Path:
+    path.write_text(json.dumps({**header, "benchmarks": benchmarks}))
     return path
 
 
@@ -64,6 +64,73 @@ class TestCompare:
         (tmp_path / "BENCH_x.json").write_text("{}")  # ignored: not numbered
         names = [p.name for p in compare_mod.bench_files(tmp_path)]
         assert names == ["BENCH_0.json", "BENCH_2.json", "BENCH_10.json"]
+
+
+class TestComparableBaseline:
+    """The baseline is the newest earlier archive with the candidate's
+    ``cpu_count`` and ``num_threads``, never simply ``BENCH_0``."""
+
+    @staticmethod
+    def _history(compare_mod, tmp_path, contexts):
+        for n, (cpus, threads) in enumerate(contexts):
+            _archive(
+                tmp_path / f"BENCH_{n}.json", BASE, cpu_count=cpus, num_threads=threads
+            )
+        return compare_mod.bench_files(tmp_path)
+
+    def test_newest_earlier_match_wins(self, compare_mod, tmp_path):
+        # 0 and 2 match the candidate (3); 1 differs in threads, 4 is later.
+        contexts = [(2, 1), (2, 4), (2, 1), (2, 1), (2, 1)]
+        history = self._history(compare_mod, tmp_path, contexts)
+        baseline = compare_mod.comparable_baseline(history[3], history)
+        assert baseline.name == "BENCH_2.json"
+
+    def test_skips_other_machine_context(self, compare_mod, tmp_path):
+        contexts = [(2, 1), (8, 1), (2, 4), (2, 1)]
+        history = self._history(compare_mod, tmp_path, contexts)
+        baseline = compare_mod.comparable_baseline(history[-1], history)
+        assert baseline.name == "BENCH_0.json"
+
+    def test_no_match_returns_none(self, compare_mod, tmp_path):
+        history = self._history(compare_mod, tmp_path, [(8, 1), (2, 4), (2, 1)])
+        assert compare_mod.comparable_baseline(history[-1], history) is None
+        assert compare_mod.comparable_baseline(history[0], history) is None
+
+    def test_headerless_archives_compare_with_each_other(self, compare_mod, tmp_path):
+        _archive(tmp_path / "BENCH_0.json", BASE)
+        _archive(tmp_path / "BENCH_1.json", BASE)
+        _archive(tmp_path / "BENCH_2.json", BASE, cpu_count=2, num_threads=1)
+        history = compare_mod.bench_files(tmp_path)
+        baseline = compare_mod.comparable_baseline(history[1], history)
+        assert baseline.name == "BENCH_0.json"
+        assert compare_mod.comparable_baseline(history[2], history) is None
+
+    def test_candidate_outside_history(self, compare_mod, tmp_path):
+        history = self._history(compare_mod, tmp_path, [(2, 1), (2, 1)])
+        candidate = _archive(
+            tmp_path / "candidate.json", BASE, cpu_count=2, num_threads=1
+        )
+        baseline = compare_mod.comparable_baseline(candidate, history)
+        assert baseline.name == "BENCH_1.json"
+
+    def test_main_reports_no_comparable_baseline(self, compare_mod, tmp_path, capsys):
+        self._history(compare_mod, tmp_path, [(8, 1), (2, 1)])
+        assert compare_mod.main(["--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "no comparable baseline" in out
+        assert "TIME REGRESSION" not in out
+
+    def test_main_diffs_against_latest_comparable(self, compare_mod, tmp_path, capsys):
+        # BENCH_0 is comparable and fast, BENCH_2 is comparable and as slow
+        # as the candidate: the gate must use BENCH_2 and pass.
+        slow = {"clip": {"seconds": 2.0, "peak_bytes": 1000}}
+        _archive(tmp_path / "BENCH_0.json", BASE, cpu_count=2, num_threads=1)
+        _archive(tmp_path / "BENCH_1.json", slow, cpu_count=8, num_threads=1)
+        _archive(tmp_path / "BENCH_2.json", slow, cpu_count=2, num_threads=1)
+        _archive(tmp_path / "BENCH_3.json", slow, cpu_count=2, num_threads=1)
+        assert compare_mod.main(["--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH_2.json" in out and "PASS" in out
 
 
 class TestMain:

@@ -23,8 +23,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Release hot-path modules: all allocation goes through the workspace
 #: arena.  ``repro/backend/workspace.py`` (the arena itself) and
-#: ``repro/backend/reference.py`` (the serial historical golden, kept
-#: byte-for-byte as the parity baseline) are exempt by design.
+#: ``repro/backend/reference.py`` (the plain serial formulations the
+#: parity harness measures against) are exempt by design.
 HOT_PATH_MODULES = (
     "src/repro/core/perturbation.py",
     "src/repro/backend/fused.py",
