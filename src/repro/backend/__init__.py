@@ -8,17 +8,18 @@ in without touching callers:
 ========= ==============================================================
 Backend    What it is
 ========= ==============================================================
-reference  Plain numpy; the parity baseline and the default.  Bit-identical
-           to the pre-backend library except the conv ghost kernels, which
-           use batched BLAS matmul (~1e-15 relative).
+reference  Plain numpy; the parity baseline.  Bit-identical to the
+           pre-backend library except the conv ghost kernels, which use
+           batched BLAS matmul (~1e-15 relative).  ``REPRO_BACKEND=reference``
+           reproduces historical bits.
 fused      Optimized numpy: trig-identity fused GeoDP perturbation,
            BLAS-routed ghost kernels, blocked conv Grams.
 numba      Numba-JIT compiled hot loops; available only when numba is
            installed.
 cext       ctypes-loaded C kernel compiled on first use with the system
            C compiler; available only when compilation succeeds.
-auto       Selects the fastest available accelerated backend
-           (numba > cext > fused) without counting a fallback.
+auto       The default.  Selects the fastest available accelerated
+           backend (numba > cext > fused) without counting a fallback.
 ========= ==============================================================
 
 Selection::
@@ -29,7 +30,9 @@ Selection::
     with use_backend("fused"):    # scoped (tests, benchmarks)
         ...
 
-or via the environment: ``REPRO_BACKEND=fused python -m repro...``.
+or via the environment: ``REPRO_BACKEND=fused python -m repro...``.  With
+``REPRO_BACKEND`` unset the library resolves ``auto``, so training
+releases run on the compiled kernel wherever it builds.
 ``REPRO_BACKEND_DISABLE`` (comma-separated names) masks backends, which is
 how sandboxed environments keep the compiler probe off.
 
@@ -87,7 +90,7 @@ __all__ = [
 #: Selectable names, in documentation order ("auto" resolves to one of them).
 BACKEND_NAMES = ("reference", "fused", "numba", "cext")
 
-#: Environment variable naming the initial backend (default: ``reference``).
+#: Environment variable naming the initial backend (default: ``auto``).
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Comma-separated backend names to treat as unavailable.
@@ -174,9 +177,9 @@ def set_backend(name: str):
 
 
 def get_backend():
-    """The active backend (initialized from ``REPRO_BACKEND`` on first use)."""
+    """The active backend (initialized from ``REPRO_BACKEND``, else ``auto``)."""
     if _active is None:
-        set_backend(os.environ.get(BACKEND_ENV, "reference"))
+        set_backend(os.environ.get(BACKEND_ENV, "auto"))
     return _active
 
 

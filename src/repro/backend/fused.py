@@ -14,8 +14,10 @@ Three ideas carry the speedups:
   pure numpy — it needs compiled code to pay off, which is exactly what the
   ``cext``/``numba`` backends do.)
 * **BLAS routing**: the batched Gram/contract einsums of the ghost norms
-  become ``matmul``/``tensordot`` calls, which dispatch to BLAS instead of
-  einsum's generic loops.
+  become ``matmul`` calls, which dispatch to BLAS instead of einsum's
+  generic loops.  The conv clip-accumulate is inherited from the
+  reference, whose single batched matmul was measured faster than a
+  blocked ``tensordot`` at every tracked shape.
 * **Chunk parallelism**: the row blocks above double as the unit of
   thread scheduling (:mod:`repro.backend.threads`).  Chunk boundaries are
   derived from the input *shape* alone and partial reductions are summed
@@ -233,34 +235,6 @@ class FusedBackend(ReferenceBackend):
             partials[start // block] = ReferenceBackend.linear_clip_accumulate(
                 self, x[start:stop], grad_out[start:stop], factors[start:stop], bias
             )
-
-        run_chunks(chunk, spans)
-        return _reduce_pairs(partials, bias)
-
-    def conv_clip_accumulate(
-        self, cols: np.ndarray, dy: np.ndarray, factors: np.ndarray, bias: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        batch = cols.shape[0]
-        k_dim, length = cols.shape[1], cols.shape[2]
-        out_channels = dy.shape[1]
-        block = _batch_block(batch, (k_dim + out_channels) * length)
-        spans = chunk_spans(batch, block)
-        if len(spans) <= 1:
-            with workspace.scratch(dy.shape) as scaled:
-                np.multiply(dy, factors[:, None, None], out=scaled)
-                # tensordot reshapes to one (O, B*L) @ (B*L, K) GEMM; einsum's
-                # generic 3-index loop is an order of magnitude slower here.
-                dw = np.tensordot(scaled, cols, axes=([0, 2], [0, 2]))
-                db = scaled.sum(axis=(0, 2)) if bias else None
-            return dw, db
-        partials: list = [None] * len(spans)
-
-        def chunk(start, stop):
-            with workspace.scratch((stop - start,) + dy.shape[1:]) as scaled:
-                np.multiply(dy[start:stop], factors[start:stop, None, None], out=scaled)
-                dw = np.tensordot(scaled, cols[start:stop], axes=([0, 2], [0, 2]))
-                db = scaled.sum(axis=(0, 2)) if bias else None
-            partials[start // block] = (dw, db)
 
         run_chunks(chunk, spans)
         return _reduce_pairs(partials, bias)

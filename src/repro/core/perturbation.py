@@ -25,11 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import get_backend, workspace
-from repro.geometry.bounding import (
-    bound_angles,
-    direction_sensitivity,
-    per_angle_sensitivity,
-)
+from repro.geometry.bounding import bound_angles, direction_sensitivity
 from repro.geometry.spherical import to_cartesian_batch, to_spherical_batch
 from repro.telemetry.tracing import maybe_span
 from repro.utils.rng import as_rng
@@ -107,6 +103,14 @@ def perturb_dp_batch(
     return out
 
 
+def _scale_angle_noise(
+    noise: np.ndarray, polar_scale: float, azimuth_scale: float
+) -> None:
+    """Scale ``(m, d-1)`` angle noise in place: polar columns, then the azimuth."""
+    noise[:, :-1] *= polar_scale
+    noise[:, -1] *= azimuth_scale
+
+
 def perturb_geodp_batch(
     grads,
     clip_norm: float,
@@ -165,11 +169,17 @@ def perturb_geodp_batch(
     clipped = clip_gradients(grads, clip_norm) if clip else grads
 
     m, d = clipped.shape
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
     mag_scale = clip_norm / batch_size
+    # Direction-noise scale per angle: polar angles, then the azimuth.  The
+    # per-angle values equal ``per_angle_sensitivity(d, beta) / B`` entry
+    # for entry (bit-identical), without building a ``(d-1)`` array.
     if sensitivity_mode == "total":
-        dir_scale = direction_sensitivity(d, beta) / batch_size
+        polar_scale = azimuth_scale = direction_sensitivity(d, beta) / batch_size
     elif sensitivity_mode == "per_angle":
-        dir_scale = per_angle_sensitivity(d, beta)[None, :] / batch_size
+        polar_scale = beta * np.pi / batch_size
+        azimuth_scale = 2 * beta * np.pi / batch_size
     else:
         raise ValueError(
             f"sensitivity_mode must be 'total' or 'per_angle', got {sensitivity_mode!r}"
@@ -193,9 +203,9 @@ def perturb_geodp_batch(
         noisy_mag = magnitudes + mag_scale * rng.normal(
             0.0, noise_multiplier, size=magnitudes.shape
         )
-        noisy_theta = thetas + dir_scale * rng.normal(
-            0.0, noise_multiplier, size=thetas.shape
-        )
+        theta_noise = rng.normal(0.0, noise_multiplier, size=thetas.shape)
+        _scale_angle_noise(theta_noise, polar_scale, azimuth_scale)
+        noisy_theta = thetas + theta_noise
         with maybe_span(tracer, "spherical"):
             return to_cartesian_batch(noisy_mag, noisy_theta)
 
@@ -214,7 +224,7 @@ def perturb_geodp_batch(
     theta_noise = workspace.take((m, d - 1))
     rng.standard_normal(out=theta_noise)
     theta_noise *= noise_multiplier
-    theta_noise *= dir_scale
+    _scale_angle_noise(theta_noise, polar_scale, azimuth_scale)
     with maybe_span(tracer, "spherical"):
         out = get_backend().geodp_perturb(clipped, mag_noise, theta_noise)
     workspace.give(mag_noise)

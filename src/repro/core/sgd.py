@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import workspace
 from repro.privacy.clipping import ClippingStrategy, FlatClipping
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_in_range, check_matrix, check_positive
@@ -36,8 +37,9 @@ class SgdOptimizer:
         if self.momentum == 0.0:
             return params - self.learning_rate * grad
         if self._velocity is None:
-            self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + grad
+            self._velocity = workspace.zeros(params.shape, np.result_type(params, grad))
+        self._velocity *= self.momentum
+        self._velocity += grad
         return params - self.learning_rate * self._velocity
 
     def state_dict(self) -> dict:
@@ -73,21 +75,41 @@ class AdamOptimizer:
         self._v: np.ndarray | None = None
         self._t = 0
 
-    def _moments(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._m is None:
-            self._m = np.zeros_like(grad)
-            self._v = np.zeros_like(grad)
-        self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grad**2
-        m_hat = self._m / (1 - self.beta1**self._t)
-        v_hat = self._v / (1 - self.beta2**self._t)
-        return m_hat, v_hat
-
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """One Adam update on the mean gradient."""
-        m_hat, v_hat = self._moments(grad)
-        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        """One Adam update on the mean gradient.
+
+        ``m`` and ``v`` advance in place and the two temporaries come from
+        the :mod:`repro.backend.workspace` arena.  Every line applies the
+        same IEEE operation, in the same order, as the textbook expression
+
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+            params - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+
+        so the update is bit-identical to it.
+        """
+        if self._m is None:
+            dtype = np.result_type(grad, 1.0)
+            self._m = workspace.zeros(grad.shape, dtype)
+            self._v = workspace.zeros(grad.shape, dtype)
+        self._t += 1
+        m, v = self._m, self._v
+        with workspace.scratch(m.shape, m.dtype) as m_hat, workspace.scratch(
+            v.shape, v.dtype
+        ) as v_hat:
+            np.multiply(grad, 1 - self.beta1, out=m_hat)
+            m *= self.beta1
+            m += m_hat
+            np.square(grad, out=v_hat)
+            v_hat *= 1 - self.beta2
+            v *= self.beta2
+            v += v_hat
+            np.divide(m, 1 - self.beta1**self._t, out=m_hat)
+            np.divide(v, 1 - self.beta2**self._t, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat *= self.learning_rate
+            m_hat /= v_hat
+            return params - m_hat
 
     def state_dict(self) -> dict:
         """Mutable optimizer state for checkpointing (see :mod:`repro.checkpoint`)."""

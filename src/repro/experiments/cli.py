@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("reference", "fused", "numba", "cext", "auto"),
         help=(
             "numeric kernel backend for the hot paths (default: the "
-            "REPRO_BACKEND env var, else 'reference'); 'auto' picks the "
+            "REPRO_BACKEND env var, else 'auto'); 'auto' picks the "
             "fastest available accelerated backend, unavailable choices "
             "fall back with a telemetry counter (see docs/backends.md)"
         ),

@@ -188,16 +188,6 @@ def test_embedding_kernels_parity(backend_name, shape, seed):
     np.testing.assert_allclose(dw, ref_dw, **PARITY)
 
 
-def test_reference_backend_is_default(monkeypatch):
-    """Without env overrides the library must keep historical behavior."""
-    import repro.backend as backend_mod
-
-    monkeypatch.delenv(backend_mod.BACKEND_ENV, raising=False)
-    backend_mod._active = None  # force re-init; conftest fixture restores
-    assert get_backend().name == "reference"
-    assert get_backend().accelerated is False
-
-
 # ----------------------------------------------------------- sparse kernels
 def _token_patterns(vocab, b, length, seed):
     """Adversarial token layouts for the sparse/ghost embedding kernels."""

@@ -248,3 +248,69 @@ class TestZeroNoiseConsumesNoRandomness:
         grads = np.random.default_rng(1).normal(size=(6, 5)) * 0.01
         out = perturb_geodp_batch(grads, 1.0, 0.0, 4, 0.1, rng)
         assert np.allclose(out, grads, atol=1e-10)
+
+
+class TestAngleNoiseScaling:
+    """The two-scalar angle-noise scaling is bit-identical to the array
+    oracle ``per_angle_sensitivity(d, beta)[None, :] / B`` (and to the
+    scalar total sensitivity), on the fused hot path and the clamped path."""
+
+    C, SIGMA, B, BETA = 1.0, 1.3, 16, 0.2
+
+    def _dir_scale(self, d, mode):
+        from repro.geometry.bounding import per_angle_sensitivity
+
+        if mode == "total":
+            return direction_sensitivity(d, self.BETA) / self.B
+        return per_angle_sensitivity(d, self.BETA)[None, :] / self.B
+
+    @pytest.mark.parametrize("mode", ["total", "per_angle"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_hot_path_matches_array_oracle(self, m, mode):
+        from repro.backend import use_backend
+        from repro.backend.reference import ReferenceBackend
+
+        grads = np.random.default_rng(5).normal(size=(m, 30))
+        rng = np.random.default_rng(11)
+        clipped = clip_gradients(grads, self.C)
+        mag_noise = rng.standard_normal(m) * self.SIGMA * (self.C / self.B)
+        theta_noise = rng.standard_normal((m, 29))
+        theta_noise *= self.SIGMA
+        theta_noise *= self._dir_scale(30, mode)
+        want = ReferenceBackend().geodp_perturb(clipped, mag_noise, theta_noise)
+
+        with use_backend("reference"):
+            got = perturb_geodp_batch(
+                grads, self.C, self.SIGMA, self.B, self.BETA, 11, sensitivity_mode=mode
+            )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["total", "per_angle"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_clamped_path_matches_array_oracle(self, m, mode):
+        from repro.backend import use_backend
+        from repro.geometry import to_cartesian_batch
+        from repro.geometry.bounding import bound_angles
+
+        grads = np.random.default_rng(6).normal(size=(m, 12))
+        rng = np.random.default_rng(12)
+        with use_backend("reference"):
+            mags, thetas = to_spherical_batch(clip_gradients(grads, self.C))
+            thetas = bound_angles(thetas, self.BETA)
+            mag_noise = rng.normal(0.0, self.SIGMA, size=mags.shape)
+            noisy_mag = mags + (self.C / self.B) * mag_noise
+            noisy_theta = thetas + self._dir_scale(12, mode) * rng.normal(
+                0.0, self.SIGMA, size=thetas.shape
+            )
+            want = to_cartesian_batch(noisy_mag, noisy_theta)
+            got = perturb_geodp_batch(
+                grads, self.C, self.SIGMA, self.B, self.BETA, 12,
+                sensitivity_mode=mode, clamp_to_region=True,
+            )
+        assert np.array_equal(got, want)
+
+    def test_one_dimensional_gradient_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            perturb_geodp_batch(
+                np.ones((2, 1)), 1.0, 1.0, 4, 0.1, 0, sensitivity_mode="per_angle"
+            )

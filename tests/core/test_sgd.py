@@ -33,6 +33,19 @@ class TestSgdOptimizer:
             w2 = heavy.step(w2, quadratic_grad(w2))
         assert np.abs(w2 - 3.0).max() < np.abs(w1 - 3.0).max()
 
+    def test_in_place_momentum_matches_expression_bitwise(self):
+        """The velocity advances in place, bit-identical to ``mu*v + g``."""
+        opt = SgdOptimizer(0.05, momentum=0.9)
+        w = oracle_w = np.random.default_rng(0).normal(size=7)
+        velocity = np.zeros(7)
+        for g in np.random.default_rng(1).normal(size=(5, 7)):
+            w = opt.step(w, g)
+            velocity = 0.9 * velocity + g
+            oracle_w = oracle_w - 0.05 * velocity
+            assert np.array_equal(w, oracle_w)
+            assert np.array_equal(opt._velocity, velocity)
+        assert not np.shares_memory(opt.state_dict()["velocity"], opt._velocity)
+
     def test_invalid_momentum(self):
         with pytest.raises(ValueError):
             SgdOptimizer(0.1, momentum=1.0)

@@ -124,9 +124,12 @@ def test_sigkill_midstream_resume_acceptance(tmp_path):
     )
     log_path = tmp_path / "child.log"
     with open(log_path, "w") as log:
+        # A session of its own makes the server the leader of a process
+        # group holding its pool workers, so they can be reaped below.
         proc = subprocess.Popen(
             [sys.executable, str(script)],
             env=child_env(), stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,
         )
     try:
         wait_for_done(state_dir, 2, proc, log_path)
@@ -134,6 +137,12 @@ def test_sigkill_midstream_resume_acceptance(tmp_path):
         if proc.poll() is None:
             os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
+        # The SIGKILL above hits the server alone (the crash under test);
+        # its orphaned pool workers must not outlive the test.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
     server = BudgetServer(state_dir, workers=4, batch_size=4)
     # Pre-kill facts, read back from the surviving snapshot (jobs that
