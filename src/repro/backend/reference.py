@@ -1,8 +1,9 @@
 """Pure-numpy reference backend.
 
 Every kernel here is the *definition* of correct: the bodies are the
-plain numpy formulations of each kernel, with no blocking, threading or
-workspace reuse.  Most are the exact operations the library shipped with
+plain numpy formulations of each kernel, with no blocking or threading
+(``spherical_compose`` takes its output buffer from the workspace pool,
+which changes no value).  Most are the exact operations the library shipped with
 before the backend layer existed; the two conv ghost kernels
 (``conv_norm_sq``'s per-sample branch and ``conv_clip_accumulate``) form
 their per-sample ``(B, O, K)`` products with a batched BLAS matmul instead
@@ -18,6 +19,8 @@ validate (callers validate), and never mutate their inputs.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.backend import workspace
 
 __all__ = ["ReferenceBackend"]
 
@@ -65,7 +68,9 @@ class ReferenceBackend:
         sin_prod = np.empty((m, d))
         sin_prod[:, 0] = 1.0
         np.cumprod(sines, axis=1, out=sin_prod[:, 1:])
-        g = np.empty((m, d))
+        # Pooled output, like the accelerated kernels': a released gradient
+        # the optimizer gives back is the next release's buffer.
+        g = workspace.take((m, d))
         g[:, : d - 1] = sin_prod[:, : d - 1] * cosines
         g[:, d - 1] = sin_prod[:, d - 1]
         g *= magnitudes[:, None]

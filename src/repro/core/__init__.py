@@ -2,8 +2,10 @@
 
 * :mod:`repro.core.perturbation` — the perturbation primitives (classic DP
   noise, Eq. 8, and GeoDP's geometric noise, Algorithm 1 steps 6-9).
-* :mod:`repro.core.dpsgd` / :mod:`repro.core.geodp` — optimizers.
-* :mod:`repro.core.sgd` — non-private SGD/Momentum/Adam and DP-Adam.
+* :mod:`repro.core.private` — the one private optimizer; the releases and
+  the named optimizers live in :mod:`repro.core.dpsgd` /
+  :mod:`repro.core.geodp` / :mod:`repro.core.geodp_adam`.
+* :mod:`repro.core.sgd` — SGD/Momentum/Adam update rules and DP-Adam.
 * :mod:`repro.core.techniques` — IS [67] and SUR [68] training optimisations.
 * :mod:`repro.core.trainer` — the training loop tying everything together.
 * :mod:`repro.core.theory` — Theorem 1's efficiency-difference decomposition.
@@ -16,6 +18,7 @@ from repro.core.perturbation import (
     perturb_geodp_batch,
     clip_gradients,
 )
+from repro.core.private import PrivateOptimizer
 from repro.core.dpsgd import DpSgdOptimizer
 from repro.core.geodp import GeoDpSgdOptimizer
 from repro.core.sgd import SgdOptimizer, AdamOptimizer, DpAdamOptimizer
@@ -44,6 +47,7 @@ __all__ = [
     "perturb_dp_batch",
     "perturb_geodp_batch",
     "clip_gradients",
+    "PrivateOptimizer",
     "DpSgdOptimizer",
     "GeoDpSgdOptimizer",
     "SgdOptimizer",

@@ -3,6 +3,9 @@
 Per iteration: clip each per-sample gradient to norm ``C``, sum, add
 ``N(0, sigma^2 C^2 I)``, divide by ``B``, and take an SGD step.  Privacy is
 tracked by an optional :class:`~repro.privacy.accountant.RdpAccountant`.
+
+:class:`GaussianRelease` is the mechanism; :class:`DpSgdOptimizer` composes
+it with momentum SGD in a :class:`~repro.core.private.PrivateOptimizer`.
 """
 
 from __future__ import annotations
@@ -10,68 +13,68 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import workspace
-from repro.privacy.clipping import ClippingStrategy, FlatClipping
-from repro.telemetry.diagnostics import record_clipping, record_release
-from repro.telemetry.tracing import joint_span
-from repro.utils.rng import as_rng
-from repro.utils.validation import check_matrix, check_positive
+from repro.core.private import PrivateOptimizer
+from repro.core.sgd import SgdOptimizer
+from repro.privacy.clipping import ClippingStrategy
 
-__all__ = ["DpSgdOptimizer"]
+__all__ = ["GaussianRelease", "DpSgdOptimizer"]
 
 
-class DpSgdOptimizer:
+class GaussianRelease:
+    """The Gaussian mechanism: ``(clipped_sum + N(0, sigma^2 C^2 I)) / B``."""
+
+    #: Mechanism label written into ledger entries.
+    mechanism = "gaussian"
+    #: The Gaussian release adds no δ beyond the accountant's.
+    delta_prime = 0.0
+    #: No ledger annotations beyond sigma, sensitivity and sample rate.
+    ledger_meta = None
+
+    def perturb(self, opt, clipped_sum: np.ndarray, denominator: int) -> np.ndarray:
+        """Noise and average one clipped sum into a workspace buffer.
+
+        Same RNG stream and element-wise arithmetic as ``(clipped_sum +
+        rng.normal(0, scale, shape)) / denominator``, with zero steady-state
+        allocation.
+        """
+        scale = opt.noise_multiplier * opt.clipping.sensitivity()
+        noisy = workspace.take(clipped_sum.shape)
+        if scale == 0:
+            noisy.fill(0.0)
+        else:
+            opt.rng.standard_normal(out=noisy)
+            noisy *= scale
+        np.add(clipped_sum, noisy, out=noisy)
+        noisy /= denominator
+        return noisy
+
+    def sparse_release(self, opt, dense_sum: np.ndarray, sparse, denominator: int) -> np.ndarray:
+        """Dense block through :meth:`perturb`, touched rows from row streams."""
+        from repro.sparse.release import gaussian_sparse_release
+
+        noisy = opt.noisy_gradient_presummed(dense_sum, denominator)
+        gaussian_sparse_release(opt, sparse, denominator)
+        return noisy
+
+    def telemetry_extras(self, opt, d: int, denominator: int) -> None:
+        """No scheme-specific release diagnostics."""
+        return None
+
+
+class DpSgdOptimizer(PrivateOptimizer):
     """Differentially private SGD on flat parameter vectors.
 
     Parameters
     ----------
     learning_rate:
         Step size ``eta``.
-    clipping:
-        Either a clipping threshold ``C`` (float — flat clipping, Eq. 6) or
-        any :class:`~repro.privacy.clipping.ClippingStrategy`.
-    noise_multiplier:
-        Noise multiplier ``sigma``; the per-coordinate noise std of the
-        summed gradient is ``sigma * sensitivity``.
-    accountant / sample_rate:
-        When both are given, every :meth:`step` records one subsampled
-        Gaussian release with the accountant.
-    lot_size:
-        Fixed denominator for the average.  Required for Poisson sampling
-        (where the realised batch size is data-dependent, so dividing by it
-        would break the sensitivity analysis); also used with gradient
-        accumulation.  ``None`` (default) divides by the actual batch size,
-        correct for fixed-size batches.
-    recorder:
-        Optional :class:`~repro.telemetry.MetricsRecorder`.  When attached,
-        every step records clipping statistics (pre-clip norm, clipped
-        fraction) and release geometry (noise-to-signal ratio, cosine
-        similarity / angular deviation between the clean averaged gradient
-        and the released one) plus the sensitivity and sigma used.  Purely
-        observational: the recorder never touches the RNG, so instrumented
-        runs are bit-identical to uninstrumented ones.
-    tracer:
-        Optional :class:`~repro.telemetry.tracing.Tracer`.  When attached,
-        the clip and noise phases of every step become hierarchical spans
-        (nested under the trainer's lot span when the trainer attached the
-        tracer).  Observational only, like the recorder.
-    ledger:
-        Optional :class:`~repro.privacy.ledger.ReleaseLedger`.  When
-        attached, every DP release (each :meth:`step` /
-        :meth:`step_presummed`) appends one hash-chained entry recording
-        sigma, sensitivity, sample rate and the accountant's ε-at-release,
-        auditable afterwards with
-        :func:`~repro.privacy.ledger.verify_ledger`.
-    grad_mode:
-        ``"materialize"`` (default) computes the full ``(B, P)`` per-sample
-        gradient matrix and preserves bit-identical seed behaviour;
-        ``"ghost"`` asks the trainer to route through the ghost-clipping
-        fast path (:meth:`step_ghost` / :meth:`ghost_clipped_sum`), which
-        clips and sums without materializing the matrix — O(P) gradient
-        memory, same DP release.  See ``docs/performance.md``.
+    clipping / noise_multiplier / accountant / sample_rate / lot_size /
+    recorder / tracer / ledger / grad_mode:
+        See :class:`~repro.core.private.PrivateOptimizer`.
+    momentum:
+        Classical momentum on the released gradient (post-processing, so
+        the privacy analysis is unchanged).
     """
-
-    #: Trainer uses this to decide which gradient API to call.
-    requires_per_sample = True
 
     def __init__(
         self,
@@ -89,230 +92,9 @@ class DpSgdOptimizer:
         ledger=None,
         grad_mode: str = "materialize",
     ):
-        from repro.core.ghost import check_grad_mode
-
-        self.recorder = recorder
-        self.tracer = tracer
-        self.ledger = ledger
-        self.grad_mode = check_grad_mode(grad_mode)
-        self.learning_rate = check_positive("learning_rate", learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: np.ndarray | None = None
-        if isinstance(clipping, (int, float)):
-            clipping = FlatClipping(float(clipping))
-        self.clipping = clipping
-        self.noise_multiplier = check_positive(
-            "noise_multiplier", noise_multiplier, strict=False
-        )
-        self.rng = as_rng(rng)
-        self.accountant = accountant
-        self.sample_rate = sample_rate
-        if accountant is not None and sample_rate is None:
-            raise ValueError("sample_rate is required when an accountant is attached")
-        if lot_size is not None and lot_size < 1:
-            raise ValueError(f"lot_size must be >= 1, got {lot_size}")
-        self.lot_size = lot_size
-        #: Noisy averaged gradient of the most recent step (for diagnostics).
-        self.last_noisy_gradient: np.ndarray | None = None
-
-    def clipped_sum(self, per_sample_grads) -> np.ndarray:
-        """Clip per-sample gradients and sum them (the accumulation unit)."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        if grads.shape[0] == 0:
-            return np.zeros(grads.shape[1])
-        if self.recorder is None and self.tracer is None:
-            return self.clipping.clip(grads).sum(axis=0)
-        with joint_span(self.recorder, self.tracer, "clip"):
-            clipped, norms = self.clipping.clip_with_norms(grads)
-            summed = clipped.sum(axis=0)
-        if self.recorder is not None:
-            record_clipping(
-                self.recorder, grads, self.clipping.sensitivity(), norms=norms
-            )
-        return summed
-
-    def ghost_clipped_sum(self, model, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Clip-and-sum one batch via the ghost fast path (no ``(B, P)``).
-
-        Returns ``(per-sample losses, clipped gradient sum)``; see
-        :func:`repro.core.ghost.ghost_clipped_sum`.
-        """
-        from repro.core.ghost import ghost_clipped_sum
-
-        return ghost_clipped_sum(self, model, x, y)
-
-    def step_ghost(self, params: np.ndarray, model, x, y) -> tuple[np.ndarray, float]:
-        """One DP-SGD update via the ghost path; returns ``(params, mean loss)``."""
-        from repro.core.ghost import ghost_step
-
-        return ghost_step(self, params, model, x, y)
-
-    def noisy_gradient_presummed(self, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """Noise an already clipped-and-summed gradient (Eq. 8 aggregation).
-
-        ``count`` is the number of samples in the sum; ignored when a fixed
-        ``lot_size`` is configured.
-        """
-        denominator = self.lot_size if self.lot_size is not None else count
-        if denominator < 1:
-            raise ValueError(
-                "empty batch with no lot_size: set lot_size for Poisson sampling"
-            )
-        workspace.note_release_shape(self, clipped_sum.shape)
-        scale = self.noise_multiplier * self.clipping.sensitivity()
-        if self.recorder is None and self.tracer is None:
-            if scale == 0:
-                return (clipped_sum + 0.0) / denominator
-            # Workspace-pooled release: same RNG stream and element-wise
-            # arithmetic as ``(clipped_sum + rng.normal(0, scale, shape)) /
-            # denominator``, with zero steady-state allocation.
-            noisy = workspace.take(clipped_sum.shape)
-            self.rng.standard_normal(out=noisy)
-            noisy *= scale
-            np.add(clipped_sum, noisy, out=noisy)
-            noisy /= denominator
-            return noisy
-        with joint_span(self.recorder, self.tracer, "noise"):
-            noise = (
-                self.rng.normal(0.0, scale, size=clipped_sum.shape)
-                if scale > 0
-                else 0.0
-            )
-            noisy = (clipped_sum + noise) / denominator
-        if self.recorder is not None:
-            record_release(
-                self.recorder,
-                clipped_sum / denominator,
-                noisy,
-                sigma=self.noise_multiplier,
-                sensitivity=self.clipping.sensitivity(),
-            )
-        return noisy
-
-    def noisy_gradient(self, per_sample_grads) -> np.ndarray:
-        """Clip, aggregate and noise per-sample gradients into one update direction."""
-        grads = check_matrix("per_sample_grads", per_sample_grads)
-        return self.noisy_gradient_presummed(self.clipped_sum(grads), grads.shape[0])
-
-    def _descend(self, params: np.ndarray, noisy: np.ndarray) -> np.ndarray:
-        """Apply the (optionally momentum-accelerated) descent step.
-
-        Momentum is applied to the already-noised gradient, so the privacy
-        analysis is unchanged (post-processing of the DP release).
-        """
-        if self.momentum == 0.0:
-            return params - self.learning_rate * noisy
-        if self._velocity is None:
-            self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + noisy
-        return params - self.learning_rate * self._velocity
-
-    #: Mechanism label written into ledger entries.
-    ledger_mechanism = "gaussian"
-
-    def _ledger_meta(self) -> dict:
-        """Mechanism-specific annotations for ledger entries (overridable)."""
-        return {}
-
-    def _account_release(self) -> None:
-        """Record one DP release with the accountant and the ledger.
-
-        The ledger entry is appended *after* the accountant step so its
-        ε-at-release includes the release itself — exactly what a replay
-        through a fresh accountant reproduces.
-        """
-        if self.accountant is not None:
-            self.accountant.step(max(self.noise_multiplier, 1e-12), self.sample_rate)
-        if self.ledger is not None:
-            self.ledger.record_release(
-                mechanism=self.ledger_mechanism,
-                sigma=self.noise_multiplier,
-                sensitivity=self.clipping.sensitivity(),
-                sample_rate=0.0 if self.sample_rate is None else self.sample_rate,
-                accountant=self.accountant,
-                meta=self._ledger_meta(),
-            )
-        if self.recorder is not None:
-            # Per-mechanism release counter for the live metric surface
-            # (release mix across gaussian/geodp under one registry).
-            self.recorder.increment(f"releases_{self.ledger_mechanism}")
-
-    def step(self, params: np.ndarray, per_sample_grads) -> np.ndarray:
-        """One DP-SGD update; returns the new parameter vector."""
-        noisy = self.noisy_gradient(per_sample_grads)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return self._descend(params, noisy)
-
-    def step_presummed(self, params: np.ndarray, clipped_sum: np.ndarray, count: int) -> np.ndarray:
-        """One update from an accumulated clipped sum (gradient accumulation)."""
-        noisy = self.noisy_gradient_presummed(clipped_sum, count)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return self._descend(params, noisy)
-
-    def step_sparse(self, params: np.ndarray, dense_sum: np.ndarray, count: int, sparse) -> np.ndarray:
-        """One sparse DP-SGD update: dense block + touched embedding rows.
-
-        ``params`` / ``dense_sum`` cover only the non-embedding parameters;
-        ``sparse`` is a :class:`repro.sparse.release.SparseRelease` whose
-        table is updated in place (touched rows now, untouched rows' noise
-        deferred).  One release, one accountant step, one ledger entry —
-        identical to the dense path's record.  Returns the new dense params.
-        """
-        from repro.sparse.release import gaussian_sparse_release
-
-        denominator = self.lot_size if self.lot_size is not None else count
-        noisy = self.noisy_gradient_presummed(dense_sum, count)
-        gaussian_sparse_release(self, sparse, denominator)
-        self.last_noisy_gradient = noisy
-        self._account_release()
-        return self._descend(params, noisy)
-
-    def state_dict(self) -> dict:
-        """Mutable optimizer state for checkpointing (see :mod:`repro.checkpoint`).
-
-        Covers everything a resumed run needs to continue bit-identically:
-        momentum velocity, the fixed lot size, the noise stream's
-        bit-generator state, and the nested clipping / accountant state.
-        """
-        from repro.core.sgd import _copy_or_none
-        from repro.utils.rng import get_rng_state
-
-        return {
-            "velocity": _copy_or_none(self._velocity),
-            "lot_size": None if self.lot_size is None else int(self.lot_size),
-            "rng": get_rng_state(self.rng),
-            "clipping": self.clipping.state_dict(),
-            "accountant": (
-                None if self.accountant is None else self.accountant.state_dict()
-            ),
-            "ledger": None if self.ledger is None else self.ledger.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        from repro.core.sgd import _copy_or_none
-        from repro.utils.rng import set_rng_state
-
-        self._velocity = _copy_or_none(state["velocity"])
-        self.lot_size = None if state["lot_size"] is None else int(state["lot_size"])
-        set_rng_state(self.rng, state["rng"])
-        self.clipping.load_state_dict(state["clipping"])
-        if state["accountant"] is not None:
-            if self.accountant is None:
-                raise ValueError("snapshot has accountant state but none is attached")
-            self.accountant.load_state_dict(state["accountant"])
-        # Snapshots from before the ledger existed have no "ledger" key.
-        if state.get("ledger") is not None:
-            if self.ledger is None:
-                raise ValueError("snapshot has ledger state but none is attached")
-            self.ledger.load_state_dict(state["ledger"])
-
-    def __repr__(self) -> str:
-        return (
-            f"DpSgdOptimizer(lr={self.learning_rate}, clipping={self.clipping!r}, "
-            f"sigma={self.noise_multiplier})"
+        super().__init__(
+            SgdOptimizer(learning_rate, momentum=momentum), GaussianRelease(),
+            clipping, noise_multiplier, rng, accountant=accountant,
+            sample_rate=sample_rate, lot_size=lot_size, recorder=recorder,
+            tracer=tracer, ledger=ledger, grad_mode=grad_mode,
         )

@@ -1,30 +1,14 @@
-"""Ghost-clipping execution helpers shared by the DP optimizers.
+"""Gradient execution modes of the DP optimizers.
 
-The ghost fast path replaces "materialize the ``(B, P)`` per-sample
-gradient matrix, clip, sum" with two backward passes over the model
-(:meth:`repro.nn.Sequential.loss_and_clipped_grad_sum`): one that computes
-per-sample gradient *norms* from layer-local quantities, and one that
-re-runs backward with the loss-output gradients scaled by the clipping
-factors.  Gradient memory drops from O(B*P) to O(P); the DP release —
-sensitivity, noise draw, accounting — is untouched because the clipped sum
-is numerically the same quantity.
-
-These helpers centralize the telemetry bookkeeping (``clip`` span,
-clipping diagnostics from the ghost norms, ``ghost_*`` counters) so
-:class:`~repro.core.dpsgd.DpSgdOptimizer`,
-:class:`~repro.core.geodp.GeoDpSgdOptimizer` and
-:class:`~repro.core.geodp_adam.GeoDpAdamOptimizer` route through one
-implementation.
+``ghost`` clips and sums without materializing the ``(B, P)`` per-sample
+gradients (two backward passes, O(P) memory, the same clipped sum and DP
+release); the optimizers reach it through
+:meth:`repro.core.private.PrivateOptimizer.ghost_clipped_sum`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.telemetry.diagnostics import record_clipping
-from repro.telemetry.tracing import joint_span
-
-__all__ = ["GRAD_MODES", "check_grad_mode", "ghost_clipped_sum", "ghost_step"]
+__all__ = ["GRAD_MODES", "check_grad_mode"]
 
 #: Recognized gradient execution modes.  ``materialize`` is the default and
 #: preserves bit-identical seed behaviour; ``ghost`` is the opt-in fast path;
@@ -40,41 +24,3 @@ def check_grad_mode(grad_mode: str) -> str:
             f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}"
         )
     return grad_mode
-
-
-def ghost_clipped_sum(optimizer, model, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-and-sum one batch through the ghost path, with telemetry.
-
-    Returns ``(per-sample losses (B,), clipped gradient sum (P,))``.  The
-    optimizer's clipping strategy observes the ghost norms exactly as it
-    would on the materialized path (adaptive thresholds follow the same
-    trajectory), and an attached recorder gets the same clipping
-    diagnostics plus ``ghost_clipped_sums`` / ``ghost_samples`` counters.
-    """
-    recorder = getattr(optimizer, "recorder", None)
-    tracer = getattr(optimizer, "tracer", None)
-    if recorder is None and tracer is None:
-        losses, summed, _ = model.loss_and_clipped_grad_sum(x, y, optimizer.clipping)
-        return losses, summed
-    with joint_span(recorder, tracer, "ghost"):
-        losses, summed, norms = model.loss_and_clipped_grad_sum(
-            x, y, optimizer.clipping
-        )
-    if recorder is not None:
-        record_clipping(recorder, None, optimizer.clipping.sensitivity(), norms=norms)
-        recorder.increment("ghost_clipped_sums")
-        recorder.increment("ghost_samples", len(norms))
-    return losses, summed
-
-
-def ghost_step(optimizer, params, model, x, y) -> tuple[np.ndarray, float]:
-    """One full DP step via the ghost path; returns ``(params, mean loss)``.
-
-    Equivalent to ``optimizer.step(params, per_sample_grads)`` with the
-    materialized gradients of ``(x, y)`` — same noise draw, same accountant
-    update — but with O(P) gradient memory.
-    """
-    losses, summed = ghost_clipped_sum(optimizer, model, x, y)
-    new_params = optimizer.step_presummed(params, summed, len(losses))
-    batch_loss = float(np.mean(losses)) if losses.size else float("nan")
-    return new_params, batch_loss

@@ -142,14 +142,30 @@ class ScheduledOptimizer:
     def requires_per_sample(self) -> bool:
         return getattr(self.optimizer, "requires_per_sample", False)
 
-    def step(self, params, grads):
-        """Update hyper-parameters for this step, then delegate."""
+    def _advance(self) -> None:
+        """Set this step's hyper-parameters on the wrapped optimizer."""
         if self.lr_schedule is not None:
             self.optimizer.learning_rate = self.lr_schedule(self.step_count)
         if self.noise_schedule is not None:
             self.optimizer.noise_multiplier = self.noise_schedule(self.step_count)
         self.step_count += 1
+
+    # Every step entry point advances the schedules: the trainer's ghost and
+    # microbatch paths call ``step_presummed``, SparseTrainer ``step_sparse``.
+    def step(self, params, grads):
+        """Update hyper-parameters for this step, then delegate."""
+        self._advance()
         return self.optimizer.step(params, grads)
+
+    def step_presummed(self, params, clipped_sum, count):
+        """Scheduled :meth:`PrivateOptimizer.step_presummed`."""
+        self._advance()
+        return self.optimizer.step_presummed(params, clipped_sum, count)
+
+    def step_sparse(self, params, dense_sum, count, sparse):
+        """Scheduled :meth:`PrivateOptimizer.step_sparse` (eager sparse runs only)."""
+        self._advance()
+        return self.optimizer.step_sparse(params, dense_sum, count, sparse)
 
     def __getattr__(self, name):
         # Delegate everything else (last_noisy_gradient, accountant, ...).

@@ -21,12 +21,6 @@ from repro.utils.rng import as_rng
 
 __all__ = ["Trainer", "TrainingHistory"]
 
-#: Optimizer attributes that the descent step mutates (momentum velocity,
-#: Adam moments).  SUR must roll these back together with the parameters
-#: when it rejects an update, otherwise the rejected noisy gradient keeps
-#: steering every subsequent accepted step through the momentum buffer.
-_UPDATE_STATE_ATTRS = ("_velocity", "_m", "_v", "_t")
-
 
 def _unwrap_optimizer(optimizer):
     """Follow ScheduledOptimizer-style wrappers to the stateful optimizer."""
@@ -34,22 +28,16 @@ def _unwrap_optimizer(optimizer):
     return inner if inner is not None else optimizer
 
 
-def _capture_update_state(optimizer) -> dict:
-    """Copy the optimizer attributes mutated by a descent step."""
-    optimizer = _unwrap_optimizer(optimizer)
-    state = {}
-    for name in _UPDATE_STATE_ATTRS:
-        if hasattr(optimizer, name):
-            value = getattr(optimizer, name)
-            state[name] = value.copy() if isinstance(value, np.ndarray) else value
-    return state
+def _update_rule(optimizer):
+    """The descent rule whose state a step mutates (velocity, Adam moments).
 
-
-def _restore_update_state(optimizer, state: dict) -> None:
-    """Undo a descent step's mutations (inverse of :func:`_capture_update_state`)."""
+    SUR rolls its ``state_dict`` back together with the parameters when it
+    rejects an update; otherwise the rejected noisy gradient keeps steering
+    every later accepted step through the momentum buffer.  A private
+    optimizer's rule is its ``update_rule``; a plain one is its own rule.
+    """
     optimizer = _unwrap_optimizer(optimizer)
-    for name, value in state.items():
-        setattr(optimizer, name, value.copy() if isinstance(value, np.ndarray) else value)
+    return getattr(optimizer, "update_rule", optimizer)
 
 
 @dataclass
@@ -184,6 +172,10 @@ class Trainer:
             raise ValueError(f"pool_factor must be >= 1, got {pool_factor}")
         self.model = model
         self.optimizer = optimizer
+        # The slots filled below (lot_size, recorder, tracer) live on the
+        # wrapped optimizer, not on a schedule wrapper; ``getattr(inner, slot,
+        # 0) is None`` means the optimizer has the slot and it is unset.
+        inner = _unwrap_optimizer(optimizer)
         self.train_data = train_data
         self.test_data = test_data
         self.batch_size = batch_size
@@ -201,10 +193,8 @@ class Trainer:
                 raise ValueError("poisson sampling requires a per-sample (DP) optimizer")
             # Poisson batches vary in size, so the aggregation denominator
             # must be the fixed expected lot size, not the realised count.
-            if getattr(optimizer, "lot_size", None) is None and hasattr(
-                optimizer, "lot_size"
-            ):
-                optimizer.lot_size = batch_size
+            if getattr(inner, "lot_size", 0) is None:
+                inner.lot_size = batch_size
         self.sampling = sampling
         from repro.core.ghost import check_grad_mode
 
@@ -221,9 +211,7 @@ class Trainer:
                 "full parameter round-trip would scale with the table size"
             )
         if self.grad_mode == "ghost":
-            if not getattr(optimizer, "requires_per_sample", False) or not hasattr(
-                optimizer, "ghost_clipped_sum"
-            ):
+            if not getattr(optimizer, "requires_per_sample", False):
                 raise ValueError(
                     f"{type(optimizer).__name__} does not support grad_mode='ghost'"
                 )
@@ -282,13 +270,11 @@ class Trainer:
         self.parallel_grad_workers = parallel_grad_workers
         self._gradmap = None
         self.telemetry = telemetry
-        if telemetry is not None and getattr(optimizer, "recorder", None) is None:
-            if hasattr(optimizer, "recorder"):
-                optimizer.recorder = telemetry
+        if telemetry is not None and getattr(inner, "recorder", 0) is None:
+            inner.recorder = telemetry
         self.tracer = tracer
-        if tracer is not None and getattr(optimizer, "tracer", None) is None:
-            if hasattr(optimizer, "tracer"):
-                optimizer.tracer = tracer
+        if tracer is not None and getattr(inner, "tracer", 0) is None:
+            inner.tracer = tracer
         if sur is not None:
             eval_n = min(sur_eval_size, len(train_data))
             eval_idx = self.rng.choice(len(train_data), size=eval_n, replace=False)
@@ -396,72 +382,52 @@ class Trainer:
         batch_loss = float(np.mean(losses)) if losses else float("nan")
         return new_params, batch_loss
 
-    def _ghost_step(self, params: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-        """Ghost fast path: clip-and-sum without the ``(B, P)`` matrix.
-
-        Same sampling, same denominator and same noise stream as the
-        materialized step — only the clipped sum is computed differently,
-        so losses track the materialized path to floating-point tolerance.
-        """
+    def _per_sample_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
+        n = len(self.train_data)
+        if self.importance_sampling is not None:
+            return self._importance_step(params, n)
+        idx = self._draw_indices(n)
+        if self.microbatch_size is not None:
+            return self._accumulated_step(params, idx)
         with self._span("sample"):
             x, y = self.train_data.batch(idx)
             if self.augment is not None and len(idx):
                 x = self.augment(x)
-        with self._span("forward_backward"):
-            losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
-        with self._span("step"):
-            new_params = self.optimizer.step_presummed(params, clipped_sum, len(idx))
-        batch_loss = float(np.mean(losses)) if len(losses) else float("nan")
-        return new_params, batch_loss
-
-    def _per_sample_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
-        n = len(self.train_data)
-        if self.microbatch_size is not None or self.sampling == "poisson":
-            idx = self._draw_indices(n)
-            if self.microbatch_size is not None:
-                return self._accumulated_step(params, idx)
-            if self.grad_mode == "ghost":
-                return self._ghost_step(params, idx)
-            with self._span("sample"):
-                x, y = self.train_data.batch(idx)
-                if self.augment is not None and len(idx):
-                    x = self.augment(x)
+        if self.grad_mode == "ghost":
+            # Same sampling, denominator and noise stream as the materialized
+            # step; only the clipped sum skips the (B, P) matrix, so losses
+            # track the materialized path to floating-point tolerance.
+            with self._span("forward_backward"):
+                losses, clipped_sum = self.optimizer.ghost_clipped_sum(self.model, x, y)
+            with self._span("step"):
+                new_params = self.optimizer.step_presummed(params, clipped_sum, len(idx))
+        else:
             if len(idx):
                 with self._span("forward_backward"):
                     losses, grads = self.model.loss_and_per_sample_gradients(x, y)
-                batch_loss = float(np.mean(losses))
             else:
                 # Empty Poisson batch: the mechanism still releases pure
                 # noise (sum of zero clipped gradients plus Gaussian).
-                grads = np.zeros((0, self.model.num_params))
-                batch_loss = float("nan")
+                losses, grads = np.zeros(0), np.zeros((0, self.model.num_params))
             with self._span("step"):
-                return self.optimizer.step(params, grads), batch_loss
-        if self.grad_mode == "ghost":
-            return self._ghost_step(params, minibatch_indices(n, self.batch_size, self.rng))
-        if self.importance_sampling is not None:
-            with self._span("sample"):
-                pool_size = min(self.pool_factor * self.batch_size, n)
-                pool_idx = minibatch_indices(n, pool_size, self.rng)
-                x, y = self.train_data.batch(pool_idx)
-                if self.augment is not None:
-                    x = self.augment(x)
-            with self._span("forward_backward"):
-                losses, grads = self.model.loss_and_per_sample_gradients(x, y)
-            norms = np.linalg.norm(grads, axis=1)
-            chosen = self.importance_sampling.select(norms, self.batch_size, self.rng)
-            losses, grads = losses[chosen], grads[chosen]
-        else:
-            with self._span("sample"):
-                idx = minibatch_indices(n, self.batch_size, self.rng)
-                x, y = self.train_data.batch(idx)
-                if self.augment is not None:
-                    x = self.augment(x)
-            with self._span("forward_backward"):
-                losses, grads = self.model.loss_and_per_sample_gradients(x, y)
+                new_params = self.optimizer.step(params, grads)
+        return new_params, float(np.mean(losses)) if len(losses) else float("nan")
+
+    def _importance_step(self, params: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+        """IS: pick the batch from a uniform pool by gradient-norm importance."""
+        with self._span("sample"):
+            pool_size = min(self.pool_factor * self.batch_size, n)
+            pool_idx = minibatch_indices(n, pool_size, self.rng)
+            x, y = self.train_data.batch(pool_idx)
+            if self.augment is not None:
+                x = self.augment(x)
+        with self._span("forward_backward"):
+            losses, grads = self.model.loss_and_per_sample_gradients(x, y)
+        norms = np.linalg.norm(grads, axis=1)
+        chosen = self.importance_sampling.select(norms, self.batch_size, self.rng)
         with self._span("step"):
-            new_params = self.optimizer.step(params, grads)
-        return new_params, float(np.mean(losses))
+            new_params = self.optimizer.step(params, grads[chosen])
+        return new_params, float(np.mean(losses[chosen]))
 
     def _mean_step(self, params: np.ndarray) -> tuple[np.ndarray, float]:
         with self._span("sample"):
@@ -592,7 +558,7 @@ class Trainer:
                         # buffers; a rejected update must roll those back
                         # too, or the rejected noisy gradient keeps steering
                         # later accepted steps.
-                        update_state = _capture_update_state(self.optimizer)
+                        update_state = _update_rule(self.optimizer).state_dict()
 
                     if per_sample:
                         new_params, batch_loss = self._per_sample_step(params)
@@ -606,7 +572,7 @@ class Trainer:
                         if not accepted:
                             # roll back rejected update
                             self.model.set_params(params)
-                            _restore_update_state(self.optimizer, update_state)
+                            _update_rule(self.optimizer).load_state_dict(update_state)
                         if recorder is not None:
                             recorder.record("sur_accepted", float(accepted))
                             recorder.increment(

@@ -15,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.embedding import Embedding
-from repro.telemetry.diagnostics import record_clipping
-from repro.telemetry.tracing import joint_span
 
 __all__ = [
     "find_embedding",
@@ -138,23 +136,13 @@ def sparse_loss_and_clipped_grads(model, emb_index: int, x, y, clipping):
 def sparse_clipped_sums(optimizer, model, emb_index: int, x, y):
     """:func:`sparse_loss_and_clipped_grads` with the optimizer's telemetry.
 
-    Mirrors :func:`repro.core.ghost.ghost_clipped_sum`: the clip span,
-    clipping diagnostics from the exact norms, and ``sparse_*`` counters.
+    The ``sparse_clip`` span, clipping diagnostics and ``sparse_*`` counters
+    of :meth:`repro.core.private.PrivateOptimizer.observed_clip`, plus
+    ``sparse_touched_rows``.
     """
-    recorder = getattr(optimizer, "recorder", None)
-    tracer = getattr(optimizer, "tracer", None)
-    if recorder is None and tracer is None:
-        losses, dense_sum, rows, row_sum, _ = sparse_loss_and_clipped_grads(
-            model, emb_index, x, y, optimizer.clipping
-        )
-        return losses, dense_sum, rows, row_sum
-    with joint_span(recorder, tracer, "sparse_clip"):
-        losses, dense_sum, rows, row_sum, norms = sparse_loss_and_clipped_grads(
-            model, emb_index, x, y, optimizer.clipping
-        )
-    if recorder is not None:
-        record_clipping(recorder, None, optimizer.clipping.sensitivity(), norms=norms)
-        recorder.increment("sparse_clipped_sums")
-        recorder.increment("sparse_samples", len(norms))
-        recorder.increment("sparse_touched_rows", len(rows))
+    losses, dense_sum, rows, row_sum = optimizer.observed_clip(
+        "sparse_clip", "sparse", sparse_loss_and_clipped_grads, model, emb_index, x, y
+    )
+    if optimizer.recorder is not None:
+        optimizer.recorder.increment("sparse_touched_rows", len(rows))
     return losses, dense_sum, rows, row_sum

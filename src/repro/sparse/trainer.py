@@ -27,14 +27,17 @@ match to floating-point summation order.
 Constraints (validated at construction): the clipping strategy must
 support ghost norms and have constant sensitivity — deferred noise drawn
 at step ``t + k`` must use the same ``sigma * C`` the release at step
-``t`` promised — and the aggregation denominator must be fixed across
-steps (``lot_size`` or the fixed batch size).
+``t`` promised, which is also why a lazy run takes no lr or sigma
+schedule (an eager run applies each step's noise at that step's scale) —
+and the aggregation denominator must be fixed across steps (``lot_size``
+or the fixed batch size).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.private import PrivateOptimizer
 from repro.core.trainer import TrainingHistory
 from repro.data.sampling import minibatch_indices
 from repro.sparse.noise import LazyRowNoise
@@ -60,10 +63,9 @@ class SparseTrainer:
         A :class:`repro.nn.Sequential` containing exactly one
         :class:`repro.nn.Embedding` layer.
     optimizer:
-        A DP optimizer with a ``step_sparse`` method
-        (:class:`~repro.core.dpsgd.DpSgdOptimizer`,
-        :class:`~repro.core.geodp.GeoDpSgdOptimizer` or
-        :class:`~repro.core.geodp_adam.GeoDpAdamOptimizer`).
+        A :class:`~repro.core.private.PrivateOptimizer` (DP-SGD, GeoDP-SGD,
+        DP-Adam or GeoDP-Adam), or a schedule wrapper around one (eager
+        runs only).
     lazy:
         ``True`` (default) defers untouched-row noise; ``False`` flushes
         every step — the eager reference the lazy path must match.
@@ -94,10 +96,19 @@ class SparseTrainer:
             raise ValueError(
                 f"batch_size must be in [1, {len(train_data)}], got {batch_size}"
             )
-        if not hasattr(optimizer, "step_sparse"):
+        inner = getattr(optimizer, "optimizer", optimizer)  # schedule wrapper
+        if not isinstance(inner, PrivateOptimizer):
             raise ValueError(
-                f"{type(optimizer).__name__} has no step_sparse; sparse training "
-                "supports DpSgdOptimizer, GeoDpSgdOptimizer and GeoDpAdamOptimizer"
+                f"{type(inner).__name__} has no step_sparse; sparse training "
+                "supports the private optimizers (repro.core.PrivateOptimizer)"
+            )
+        if lazy and any(
+            getattr(optimizer, name, None) is not None
+            for name in ("lr_schedule", "noise_schedule")
+        ):
+            raise ValueError(
+                "lazy=True defers row noise at a constant lr * sigma * C; "
+                "a scheduled optimizer needs lazy=False"
             )
         clipping = optimizer.clipping
         if not getattr(clipping, "supports_ghost", False):

@@ -104,6 +104,6 @@ class TestMomentum:
         opt = GeoDpSgdOptimizer(1.0, 1.0, 0.0, beta=0.5, rng=0, momentum=0.9)
         w = opt.step(np.zeros(4), grads)
         w = opt.step(w, grads)
-        assert opt._velocity is not None
+        assert opt.update_rule._velocity is not None
         with pytest.raises(ValueError, match="momentum"):
             GeoDpSgdOptimizer(0.1, 1.0, 1.0, beta=0.5, momentum=-0.1)

@@ -307,7 +307,7 @@ class TestSurMomentumRollback:
         trainer.train(5)
         assert trainer.sur.rejected == 5
         assert np.array_equal(model.get_params(), initial)
-        assert optimizer._velocity is None  # pre-first-step state, every time
+        assert optimizer.update_rule._velocity is None  # pre-first-step state, every time
 
     def test_rejected_steps_leave_adam_moments_untouched(self, small_data):
         from repro.core.geodp_adam import GeoDpAdamOptimizer
@@ -320,9 +320,9 @@ class TestSurMomentumRollback:
             sur=SelectiveUpdateRelease(threshold=self.ALWAYS_REJECT),
         )
         trainer.train(4)
-        assert optimizer._m is None
-        assert optimizer._v is None
-        assert optimizer._t == 0
+        assert optimizer.update_rule._m is None
+        assert optimizer.update_rule._v is None
+        assert optimizer.update_rule._t == 0
 
     def test_rollback_reaches_through_scheduled_wrapper(self, small_data):
         from repro.core.schedules import ConstantSchedule, ScheduledOptimizer
@@ -339,7 +339,7 @@ class TestSurMomentumRollback:
             sur=SelectiveUpdateRelease(threshold=self.ALWAYS_REJECT),
         )
         trainer.train(3)
-        assert inner._velocity is None
+        assert inner.update_rule._velocity is None
 
     def test_accepted_steps_advance_velocity_normally(self, small_data):
         train, _ = small_data
@@ -351,8 +351,8 @@ class TestSurMomentumRollback:
         )
         trainer.train(3)
         assert trainer.sur.accepted == 3
-        assert optimizer._velocity is not None
-        assert np.any(optimizer._velocity != 0)
+        assert optimizer.update_rule._velocity is not None
+        assert np.any(optimizer.update_rule._velocity != 0)
 
 
 class TestAdaptiveClippingLotIntegration:

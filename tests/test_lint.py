@@ -27,6 +27,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: parity harness measures against) are exempt by design.
 HOT_PATH_MODULES = (
     "src/repro/core/perturbation.py",
+    "src/repro/core/private.py",
+    "src/repro/core/dpsgd.py",
+    "src/repro/core/geodp.py",
     "src/repro/core/sgd.py",
     "src/repro/backend/fused.py",
     "src/repro/backend/cext.py",
